@@ -118,42 +118,110 @@ where
     selected
 }
 
-/// Greedy **unit-weight** set cover: same selection rule as
-/// [`greedy_weighted_cover`] with `weight ≡ 1`, but gains are integers,
-/// so the lazy priority queue becomes a bucket array (gain → candidates)
-/// with O(1) refile instead of a float heap — the shape phase 1 of the
-/// covering strategy runs at scale.
-pub fn greedy_unit_cover(n_elements: usize, coverage: &[Vec<u32>]) -> Vec<usize> {
-    // Inverted CSR index, as in the weighted variant.
-    let mut offsets = vec![0usize; n_elements + 1];
-    for c in coverage {
-        for &e in c {
-            offsets[e as usize + 1] += 1;
-        }
-    }
-    for e in 0..n_elements {
-        offsets[e + 1] += offsets[e];
-    }
-    let mut covering = vec![0u32; offsets[n_elements]];
-    let mut fill = offsets.clone();
-    for (d, c) in coverage.iter().enumerate() {
-        for &e in c {
-            covering[fill[e as usize]] = d as u32;
-            fill[e as usize] += 1;
-        }
+/// A row-major bit matrix: `rows` rows of `cols` bits, each row packed
+/// into ⌈cols/64⌉ `u64` words (bit `k` of a row is bit `k % 64` of word
+/// `k / 64`). Phase 1's coverage relation lives here: row `d` holds the
+/// questions pool demo `d` covers. At covering density above 1/32 this is
+/// smaller than per-demo `u32` lists, and the greedy's gain query is a
+/// popcount over the row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitMatrix {
+    rows: usize,
+    cols: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitMatrix {
+    /// An all-zero `rows × cols` matrix.
+    pub fn new(rows: usize, cols: usize) -> Self {
+        let words = cols.div_ceil(64);
+        Self { rows, cols, words, bits: vec![0; rows * words] }
     }
 
-    let mut gain: Vec<usize> = coverage.iter().map(Vec::len).collect();
-    let max_gain = gain.iter().copied().max().unwrap_or(0);
-    // Buckets hold lazily-filed candidates; a candidate's authoritative
-    // gain lives in `gain[]`, and entries refile downward on pop.
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns (bits per row).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row `r`'s packed words.
+    pub(crate) fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    /// Every row's packed words, mutably, in row order (for sharded
+    /// fills). Yields nothing for a zero-column matrix.
+    pub(crate) fn rows_mut(&mut self) -> std::slice::ChunksMut<'_, u64> {
+        self.bits.chunks_mut(self.words.max(1))
+    }
+
+    /// Sets bit `(r, k)`.
+    pub fn set(&mut self, r: usize, k: usize) {
+        assert!(k < self.cols, "column out of range");
+        set_bit(&mut self.bits[r * self.words..(r + 1) * self.words], k);
+    }
+
+    /// Overwrites row `dst` with a copy of row `src`.
+    pub(crate) fn copy_row(&mut self, src: usize, dst: usize) {
+        let w = self.words;
+        self.bits.copy_within(src * w..(src + 1) * w, dst * w);
+    }
+
+    /// The set columns of row `r`, ascending.
+    pub(crate) fn ones(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(r).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+}
+
+/// Sets bit `k` of one packed row.
+pub(crate) fn set_bit(row: &mut [u64], k: usize) {
+    row[k / 64] |= 1 << (k % 64);
+}
+
+/// Greedy **unit-weight** set cover over a bit matrix (candidates are
+/// rows, elements are columns): the selection rule of
+/// [`greedy_weighted_cover`] with `weight ≡ 1`. Gains are integers, so
+/// the lazy priority queue is a bucket array (gain → candidates); a
+/// popped candidate's gain is recomputed as `popcount(row & uncovered)`,
+/// and a stale one refiles at that gain (gains only shrink). Bucket moves
+/// depend only on the gain values at pop time, so the selection equals
+/// the one a decrementally maintained gain table would make.
+///
+/// Returns selected rows in selection order.
+pub fn greedy_unit_cover(coverage: &BitMatrix) -> Vec<usize> {
+    let gain = |d: usize, uncovered: &[u64]| -> usize {
+        coverage
+            .row(d)
+            .iter()
+            .zip(uncovered)
+            .map(|(&a, &u)| (a & u).count_ones() as usize)
+            .sum()
+    };
+    // Bits past `cols` are never set in a row, so the mask needs no
+    // trimming.
+    let mut uncovered = vec![u64::MAX; coverage.words];
+    let initial: Vec<usize> = (0..coverage.rows()).map(|d| gain(d, &uncovered)).collect();
+    let max_gain = initial.iter().copied().max().unwrap_or(0);
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_gain + 1];
-    for (d, &g) in gain.iter().enumerate() {
+    for (d, &g) in initial.iter().enumerate() {
         if g > 0 {
             buckets[g].push(d as u32);
         }
     }
-    let mut covered = vec![false; n_elements];
     let mut selected = Vec::new();
     let mut level = max_gain;
     while level > 0 {
@@ -162,57 +230,20 @@ pub fn greedy_unit_cover(n_elements: usize, coverage: &[Vec<u32>]) -> Vec<usize>
             continue;
         };
         let d = candidate as usize;
-        let g = gain[d];
+        let g = gain(d, &uncovered);
         if g < level {
-            // Stale entry: refile at its true gain (gains only shrink).
             if g > 0 {
                 buckets[g].push(candidate);
             }
             continue;
         }
         // g == level: the maximum gain — select.
-        for &e in &coverage[d] {
-            let e = e as usize;
-            if !covered[e] {
-                covered[e] = true;
-                for &other in &covering[offsets[e]..offsets[e + 1]] {
-                    gain[other as usize] -= 1;
-                }
-            }
+        for (u, &a) in uncovered.iter_mut().zip(coverage.row(d)) {
+            *u &= !a;
         }
         selected.push(d);
     }
     selected
-}
-
-/// Phase 1 — Demonstration Set Generation (§V-A).
-///
-/// `covers_question(d, q)` tells whether pool demonstration `d` covers
-/// question `q` (distance below `t`). Returns the selected pool indices:
-/// a small set covering every coverable question, found greedily with unit
-/// weights.
-///
-/// Coverage lists are built in parallel shards over the pool (`Sync`
-/// bound); each demo's list depends only on that demo, so shard count
-/// cannot change the result. The kernel-backed covering path in
-/// [`crate::selection`] builds its lists from one-to-many distance sweeps
-/// instead of a per-pair oracle; this entry point remains for callers
-/// with arbitrary coverage predicates.
-pub fn demonstration_set_generation<F>(
-    n_questions: usize,
-    n_pool: usize,
-    covers_question: F,
-) -> Vec<usize>
-where
-    F: Fn(usize, usize) -> bool + Sync,
-{
-    let coverage: Vec<Vec<u32>> = embed::par::par_map(n_pool, 8, |d| {
-        (0..n_questions)
-            .filter(|&q| covers_question(d, q))
-            .map(|q| q as u32)
-            .collect()
-    });
-    greedy_unit_cover(n_questions, &coverage)
 }
 
 /// Phase 2 — Batch Covering (§V-B).
@@ -302,21 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn demonstration_set_generation_end_to_end() {
-        // Questions on a line at 0,1,...,9; pool demos at 0.5, 5.5, 20.
-        let questions: Vec<f64> = (0..10).map(|q| q as f64).collect();
-        let pool = [0.5f64, 5.5, 20.0];
-        let t = 5.0;
-        let selected =
-            demonstration_set_generation(10, 3, |d, q| (pool[d] - questions[q]).abs() < t);
-        // Demo 0 covers 0..5, demo 1 covers 1..9: both needed; demo 2
-        // covers nothing.
-        assert!(selected.contains(&0));
-        assert!(selected.contains(&1));
-        assert!(!selected.contains(&2));
-    }
-
-    #[test]
     fn batch_covering_minimizes_tokens() {
         // Batch of 2 questions; demo set {10, 11, 12} (pool ids).
         // Demo 10 covers both but is huge; 11 and 12 cover one each and
@@ -339,7 +355,7 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert!(greedy_weighted_cover(0, &[], |_| 1.0).is_empty());
-        assert!(demonstration_set_generation(0, 0, |_, _| false).is_empty());
+        assert!(greedy_unit_cover(&BitMatrix::new(0, 0)).is_empty());
         assert!(batch_covering(0, &[], |_, _| false, |_| 1.0).is_empty());
     }
 

@@ -21,8 +21,10 @@
 //!   edges (no distance arithmetic, no allocation), reproducing
 //!   [`cluster::dbscan_matrix`]'s output exactly;
 //! * **coverage graph** — which pool demonstrations cover which questions
-//!   under the frozen `t`, extended by one pool scan per insertion; the
-//!   greedy covering selection re-runs over the cached lists.
+//!   under the frozen `t`, as per-demo slot lists extended by one pool
+//!   scan per insertion; each epoch rebuilds the rank-space coverage bit
+//!   matrix from the lists and re-runs the greedy covering selection over
+//!   it.
 //!
 //! **Plan equivalence.** Every epoch's output equals a from-scratch
 //! [`plan_with_prepared_pool_pinned`] over the same active questions (in
@@ -49,6 +51,7 @@ use crate::batching::{
     batches_for_clustering, cluster_questions_pinned, BatchingStrategy, ClusteringKind,
     DBSCAN_EPS_PERCENTILE, DBSCAN_MIN_PTS,
 };
+use crate::cover::BitMatrix;
 use crate::features::{extract_row, DistanceKind, FeatureSpace};
 use crate::plan::{BatchPlanConfig, PreparedPool, QuestionBatchPlan};
 use crate::selection::{
@@ -628,27 +631,23 @@ impl PlanState {
                         crate::selection::compute_coverage(&q_space, self.pool.space(), t);
                     // Cache in slot space (coverage is in rank space
                     // here).
-                    self.demo_cov = coverage
-                        .iter()
-                        .map(|list| list.iter().map(|&r| order[r as usize]).collect())
+                    self.demo_cov = (0..coverage.rows())
+                        .map(|d| coverage.ones(d).map(|r| order[r]).collect())
                         .collect();
                     self.cover_t = Some(t);
                     (t, coverage)
                 }
                 PlanKind::Incremental => {
                     let t = self.cover_t.expect("coverage cache is live on this path");
-                    let coverage = self
-                        .demo_cov
-                        .iter()
-                        .map(|list| {
-                            list.iter()
-                                .filter_map(|&slot| {
-                                    let r = rank[slot as usize];
-                                    (r != u32::MAX).then_some(r)
-                                })
-                                .collect()
-                        })
-                        .collect();
+                    let mut coverage = BitMatrix::new(self.demo_cov.len(), n);
+                    for (d, slots) in self.demo_cov.iter().enumerate() {
+                        for &slot in slots {
+                            let r = rank[slot as usize];
+                            if r != u32::MAX {
+                                coverage.set(d, r as usize);
+                            }
+                        }
+                    }
                     (t, coverage)
                 }
             };

@@ -10,12 +10,13 @@
 //! the serial one.
 
 use embed::index::MetricIndex;
-use embed::par::par_map;
+use embed::matrix::scan_rows_within;
+use embed::par::{par_chunks_mut, par_map};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cover::{greedy_unit_cover, greedy_weighted_cover};
-use crate::features::FeatureSpace;
+use crate::cover::{greedy_unit_cover, greedy_weighted_cover, set_bit, BitMatrix};
+use crate::features::{DistanceKind, FeatureSpace};
 
 /// The four selection strategies of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,10 +201,7 @@ fn topk_batch(
             threshold: None,
         };
     }
-    let euclidean = matches!(
-        questions.distance_kind(),
-        crate::features::DistanceKind::Euclidean
-    );
+    let euclidean = matches!(questions.distance_kind(), DistanceKind::Euclidean);
     let index =
         (euclidean && pool.len() >= TOPK_INDEX_MIN).then(|| embed::build_index(pool.matrix()));
     // One shard per batch: each batch's sweep reads shared immutable
@@ -278,10 +276,7 @@ fn topk_question(
             threshold: None,
         };
     }
-    let euclidean = matches!(
-        questions.distance_kind(),
-        crate::features::DistanceKind::Euclidean
-    );
+    let euclidean = matches!(questions.distance_kind(), DistanceKind::Euclidean);
     let index =
         (euclidean && pool.len() >= TOPK_INDEX_MIN).then(|| embed::build_index(pool.matrix()));
     let per_batch: Vec<Vec<usize>> = par_map(batches.len(), 1, |bi| {
@@ -330,64 +325,85 @@ fn topk_question(
     SelectionPlan { per_batch, labeled, threshold: None }
 }
 
-/// Phase-1 coverage lists: `coverage[d]` holds the question indices demo
-/// `d` covers (distance strictly below `t`), in an arbitrary order — the
-/// greedy gains and the phase-2 inversion are both order-free, which is
-/// also what lets an incrementally maintained coverage cache substitute
-/// for this sweep.
-pub(crate) fn compute_coverage(
-    questions: &FeatureSpace,
-    pool: &FeatureSpace,
-    t: f64,
-) -> Vec<Vec<u32>> {
-    let t_rank = questions.ranking_threshold(t);
-
-    // Phase 1 sweep: which questions each pool demo covers, demos
-    // sharded across threads. Under the Euclidean metric each demo's
-    // scan goes through the shared metric index over the question rows:
-    // triangle-bound pruning in front of the same strict threshold
-    // kernel the dense sweep runs — and the covering threshold is a
-    // *low* percentile, so pruning is deep.
+/// Phase-1 coverage: row `d` of the returned `pool × questions` bit
+/// matrix marks the questions pool demo `d` covers (distance strictly
+/// below `t`). An incrementally maintained coverage cache can substitute
+/// for this sweep by rebuilding the same bits.
+///
+/// Each pool row runs one dense pass over the question rows, demos
+/// sharded across threads. Under the Euclidean metric the pass is
+/// [`scan_rows_within`]'s subtraction-form kernel. No metric index: at
+/// this threshold triangle-bound pruning skips too few question rows
+/// (41–70% on the five large datasets) to repay its bookkeeping.
+/// Pool rows with bit-identical features cover identical question sets:
+/// each distinct row is scanned once and its duplicates copy the result.
+pub(crate) fn compute_coverage(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) -> BitMatrix {
     let n_q = questions.len();
-    let euclidean = matches!(
-        questions.distance_kind(),
-        crate::features::DistanceKind::Euclidean
-    );
+    let mut coverage = BitMatrix::new(pool.len(), n_q);
     if n_q == 0 {
-        // Nothing to cover; the one-to-many sweeps below assume at least
-        // one question row (the matrices' dimensions must line up).
-        return vec![Vec::new(); pool.len()];
+        return coverage;
     }
-    let index = euclidean.then(|| embed::build_index(questions.matrix()));
-    par_map(pool.len(), 4, |d| {
-        if let Some(index) = &index {
-            let mut covered: Vec<u32> = Vec::new();
-            index.within_into(pool.matrix().row(d), t, true, &mut covered);
-            covered
-        } else {
-            let mut dists = vec![0.0f64; n_q];
-            pool.ranking_cross_dists(d, questions, &mut dists);
-            dists
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v < t_rank)
-                .map(|(q, _)| q as u32)
-                .collect()
+    let q_matrix = questions.matrix();
+    let p_matrix = pool.matrix();
+    let t_rank = questions.ranking_threshold(t);
+    let kind = questions.distance_kind();
+
+    // Each pool row's representative: the lowest id with bit-identical
+    // features. Sorting ids by their feature bits puts equal rows in
+    // adjacent runs; comparisons almost always stop at the first word.
+    let key = |d: usize| p_matrix.row(d).iter().map(|v| v.to_bits());
+    let mut order: Vec<usize> = (0..pool.len()).collect();
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    let mut rep: Vec<usize> = (0..pool.len()).collect();
+    for pair in order.windows(2) {
+        if key(pair[0]).eq(key(pair[1])) {
+            rep[pair[1]] = rep[pair[0]];
         }
-    })
+    }
+    let mut distinct: Vec<(usize, &mut [u64])> = coverage
+        .rows_mut()
+        .enumerate()
+        .filter(|&(d, _)| rep[d] == d)
+        .collect();
+    par_chunks_mut(&mut distinct, 4, |_, shard| {
+        let mut dists = Vec::new();
+        for (d, row) in shard.iter_mut() {
+            let x = p_matrix.row(*d);
+            match kind {
+                DistanceKind::Euclidean => {
+                    scan_rows_within::<true>(q_matrix.dim(), x, q_matrix.flat(), t_rank, |k| {
+                        set_bit(row, k)
+                    });
+                }
+                DistanceKind::Cosine => {
+                    dists.resize(n_q, 0.0);
+                    q_matrix.cosine_dists_to_all(x, &mut dists);
+                    for (k, _) in dists.iter().enumerate().filter(|&(_, &v)| v < t_rank) {
+                        set_bit(row, k);
+                    }
+                }
+            }
+        }
+    });
+    for (d, &r) in rep.iter().enumerate() {
+        if r != d {
+            coverage.copy_row(r, d);
+        }
+    }
+    coverage
 }
 
 /// The covering strategy downstream of coverage computation: phase-1
 /// greedy demonstration-set generation, the phase-2 per-batch weighted
 /// cover, and the nearest-demo fallback for uncoverable batches.
 /// `coverage` must satisfy the [`compute_coverage`] contract for the same
-/// `questions`/`pool`/`t` (computed fresh or maintained incrementally) —
-/// the output is a pure, order-insensitive function of it.
+/// `questions`/`pool`/`t` (computed fresh or rebuilt from an incremental
+/// cache) — the output is a pure function of it.
 pub(crate) fn covering_with_coverage<W>(
     questions: &FeatureSpace,
     pool: &FeatureSpace,
     batches: &[Vec<usize>],
-    coverage: &[Vec<u32>],
+    coverage: &BitMatrix,
     t: f64,
     demo_tokens: W,
 ) -> SelectionPlan
@@ -396,15 +412,16 @@ where
 {
     let n_q = questions.len();
     // Phase 1 cover: one demonstration set covering all questions.
-    let demo_set = greedy_unit_cover(n_q, coverage);
+    let demo_set = greedy_unit_cover(coverage);
 
-    // Inverted coverage for phase 2: per question, the demo-set indices
-    // covering it. Batch coverage then assembles by iterating each
-    // batch's questions — no per-(demo, question) membership probes.
+    // Inverted coverage for phase 2, from the selected rows only: per
+    // question, the demo-set indices covering it. Batch coverage then
+    // assembles by iterating each batch's questions — no per-(demo,
+    // question) membership probes.
     let mut covering_demos: Vec<Vec<u32>> = vec![Vec::new(); n_q];
     for (di, &d) in demo_set.iter().enumerate() {
-        for &q in &coverage[d] {
-            covering_demos[q as usize].push(di as u32);
+        for q in coverage.ones(d) {
+            covering_demos[q].push(di as u32);
         }
     }
 
@@ -449,7 +466,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::DistanceKind;
 
     /// Questions at 0..6 on a line; pool demos at 0.2, 1.1, 3.9, 5.2, 40.
     fn spaces() -> (FeatureSpace, FeatureSpace) {
@@ -669,9 +685,11 @@ mod tests {
     fn index_routed_selection_matches_dense_sweep() {
         use embed::index::{with_index_mode, IndexMode};
 
-        // Pool large enough to clear TOPK_INDEX_MIN, so the relevance
+        // Pool large enough to clear TOPK_INDEX_MIN, so the top-k
         // strategies actually take the index path; the expectations
-        // below re-run the dense arithmetic by hand.
+        // below re-run the dense arithmetic by hand. Covering never
+        // routes through the index, so its coverage bits are checked
+        // against a per-pair oracle instead.
         let questions =
             FeatureSpace::from_vectors(scattered(40, 6, 0xA11CE), DistanceKind::Euclidean);
         let pool = FeatureSpace::from_vectors(
@@ -684,7 +702,6 @@ mod tests {
         for strategy in [
             SelectionStrategy::TopKBatch,
             SelectionStrategy::TopKQuestion,
-            SelectionStrategy::Covering,
         ] {
             let auto = with_index_mode(IndexMode::Auto, || {
                 select_demonstrations(strategy, &questions, &pool, &batches, params, |_| 1.0)
@@ -752,21 +769,80 @@ mod tests {
             );
         }
 
-        // Coverage lists against the dense strict-threshold filter.
+        // Coverage bits against the per-pair strict-threshold kernel,
+        // on a pool with bit-identical duplicate rows (scanned once,
+        // copied to the rest).
+        let mut rows = pool.matrix().to_rows();
+        rows.insert(3, rows[100].clone());
+        rows.push(rows[0].clone());
+        rows.push(rows[100].clone());
+        let pool = FeatureSpace::from_vectors(rows, DistanceKind::Euclidean);
         let t = covering_threshold(&questions, params);
-        let coverage = compute_coverage(&questions, &pool, t);
-        let t_rank = questions.ranking_threshold(t);
-        for (d, covered) in coverage.iter().enumerate() {
-            let mut dists = vec![0.0f64; questions.len()];
-            pool.ranking_cross_dists(d, &questions, &mut dists);
-            let expect: Vec<u32> = dists
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v < t_rank)
-                .map(|(q, _)| q as u32)
+        assert_coverage_matches_oracle(&questions, &pool, t);
+    }
+
+    /// Checks every bit of [`compute_coverage`] against one
+    /// `scan_rows_within` call per (demo, question) pair.
+    fn assert_coverage_matches_oracle(questions: &FeatureSpace, pool: &FeatureSpace, t: f64) {
+        let coverage = compute_coverage(questions, pool, t);
+        assert_eq!(
+            (coverage.rows(), coverage.cols()),
+            (pool.len(), questions.len())
+        );
+        let dim = pool.matrix().dim();
+        for d in 0..pool.len() {
+            let expect: Vec<usize> = (0..questions.len())
+                .filter(|&q| {
+                    let mut hit = false;
+                    scan_rows_within::<true>(
+                        dim,
+                        pool.matrix().row(d),
+                        questions.matrix().row(q),
+                        t * t,
+                        |_| hit = true,
+                    );
+                    hit
+                })
                 .collect();
-            assert_eq!(covered, &expect, "demo {d} coverage diverged");
+            let got: Vec<usize> = coverage.ones(d).collect();
+            assert_eq!(got, expect, "demo {d} coverage diverged");
         }
+    }
+
+    #[test]
+    fn coverage_threshold_is_strict() {
+        // Pinned t = 5: question 1 sits exactly at distance 5 from demo 0
+        // (3-4-5, exact in floating point) and must stay uncovered;
+        // questions just inside and outside the boundary bracket it.
+        let questions = FeatureSpace::from_vectors(
+            vec![
+                vec![3.0, 3.999],
+                vec![3.0, 4.0],
+                vec![3.0, 4.001],
+                vec![0.0, 0.0],
+            ],
+            DistanceKind::Euclidean,
+        );
+        let pool = FeatureSpace::from_vectors(vec![vec![0.0, 0.0]], DistanceKind::Euclidean);
+        let t = 5.0;
+        assert_coverage_matches_oracle(&questions, &pool, t);
+        let coverage = compute_coverage(&questions, &pool, t);
+        assert_eq!(coverage.ones(0).collect::<Vec<_>>(), vec![0, 3]);
+
+        let plan = select_demonstrations_pinned(
+            SelectionStrategy::Covering,
+            &questions,
+            &pool,
+            &[vec![1], vec![0, 2]],
+            PARAMS,
+            Some(t),
+            |_| 1.0,
+        );
+        assert_eq!(plan.threshold, Some(t));
+        assert_eq!(plan.labeled, vec![0]);
+        // Batch {q1} is uncoverable and falls back to the nearest demo;
+        // batch {q0, q2} is covered through q0.
+        assert_eq!(plan.per_batch, vec![vec![0], vec![0]]);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property-based tests for the BatchER framework invariants: batching
-//! partitions, cover correctness, and selection plan sanity.
+//! partitions, cover correctness (the bit-matrix greedy against the
+//! list-based one it replaced), and selection plan sanity.
 
 use batcher_core::batching::make_batches;
 use batcher_core::selection::{select_demonstrations, SelectionParams};
 use batcher_core::{
-    greedy_weighted_cover, BatchingStrategy, ClusteringKind, DistanceKind, FeatureSpace,
-    SelectionStrategy,
+    greedy_unit_cover, greedy_weighted_cover, BatchingStrategy, BitMatrix, ClusteringKind,
+    DistanceKind, FeatureSpace, SelectionStrategy,
 };
 use proptest::prelude::*;
 
@@ -13,8 +14,130 @@ fn arb_points(max: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.0f64..1.0, 3), 1..max)
 }
 
+/// Oracle: the list-based unit-weight greedy the bit-matrix
+/// [`greedy_unit_cover`] replaced, verbatim — gains maintained
+/// decrementally through an inverted CSR (element → candidates) index.
+fn csr_greedy_unit_cover(n_elements: usize, coverage: &[Vec<u32>]) -> Vec<usize> {
+    // Inverted CSR index, as in the weighted variant.
+    let mut offsets = vec![0usize; n_elements + 1];
+    for c in coverage {
+        for &e in c {
+            offsets[e as usize + 1] += 1;
+        }
+    }
+    for e in 0..n_elements {
+        offsets[e + 1] += offsets[e];
+    }
+    let mut covering = vec![0u32; offsets[n_elements]];
+    let mut fill = offsets.clone();
+    for (d, c) in coverage.iter().enumerate() {
+        for &e in c {
+            covering[fill[e as usize]] = d as u32;
+            fill[e as usize] += 1;
+        }
+    }
+
+    let mut gain: Vec<usize> = coverage.iter().map(Vec::len).collect();
+    let max_gain = gain.iter().copied().max().unwrap_or(0);
+    // Buckets hold lazily-filed candidates; a candidate's authoritative
+    // gain lives in `gain[]`, and entries refile downward on pop.
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_gain + 1];
+    for (d, &g) in gain.iter().enumerate() {
+        if g > 0 {
+            buckets[g].push(d as u32);
+        }
+    }
+    let mut covered = vec![false; n_elements];
+    let mut selected = Vec::new();
+    let mut level = max_gain;
+    while level > 0 {
+        let Some(candidate) = buckets[level].pop() else {
+            level -= 1;
+            continue;
+        };
+        let d = candidate as usize;
+        let g = gain[d];
+        if g < level {
+            // Stale entry: refile at its true gain (gains only shrink).
+            if g > 0 {
+                buckets[g].push(candidate);
+            }
+            continue;
+        }
+        // g == level: the maximum gain — select.
+        for &e in &coverage[d] {
+            let e = e as usize;
+            if !covered[e] {
+                covered[e] = true;
+                for &other in &covering[offsets[e]..offsets[e + 1]] {
+                    gain[other as usize] -= 1;
+                }
+            }
+        }
+        selected.push(d);
+    }
+    selected
+}
+
+/// A random unit-cover instance over `n_q` elements, one row per
+/// `(kind, seed)` spec, built to stress the greedy's tie-breaking: empty
+/// rows, exact duplicates of earlier rows, and short runs and sparse
+/// picks whose small gains collide.
+fn cover_instance(n_q: usize, specs: &[(u8, u64)]) -> Vec<Vec<u32>> {
+    let mut rows: Vec<Vec<u32>> = Vec::new();
+    for &(kind, seed) in specs {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let mut row: Vec<u32> = match kind {
+            _ if n_q == 0 => Vec::new(),
+            0 => Vec::new(),
+            1 if !rows.is_empty() => rows[next() % rows.len()].clone(),
+            1 | 2 => (0..1 + next() % 3).map(|_| (next() % n_q) as u32).collect(),
+            3 => {
+                let start = next() % n_q;
+                (start..(start + 1 + next() % 6).min(n_q))
+                    .map(|q| q as u32)
+                    .collect()
+            }
+            _ => (0..n_q as u32).filter(|_| next() % 4 == 0).collect(),
+        };
+        row.sort_unstable();
+        row.dedup();
+        rows.push(row);
+    }
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bit-matrix greedy selects exactly what the list-based CSR
+    /// greedy selects, in the same order — at element counts on and
+    /// around the 64-bit word boundary.
+    #[test]
+    fn bit_greedy_matches_csr_greedy(
+        specs in prop::collection::vec((0u8..5, any::<u64>()), 0..48),
+    ) {
+        for n_q in [0usize, 1, 63, 64, 65, 200] {
+            let rows = cover_instance(n_q, &specs);
+            let mut bits = BitMatrix::new(rows.len(), n_q);
+            for (d, row) in rows.iter().enumerate() {
+                for &q in row {
+                    bits.set(d, q as usize);
+                }
+            }
+            prop_assert_eq!(
+                greedy_unit_cover(&bits),
+                csr_greedy_unit_cover(n_q, &rows),
+                "n_q = {}", n_q
+            );
+        }
+    }
 
     /// Every batching strategy partitions the question set exactly —
     /// no question lost, none duplicated, no batch oversized (§II-C:
